@@ -80,7 +80,7 @@ from repro.core.checker import DeadlockChecker, snapshot_components
 from repro.core.dependency import DependencySnapshot, ResourceDependency
 from repro.core.events import BlockedStatus, Event, PhaserId, TaskId
 from repro.core.report import DeadlockReport
-from repro.core.scc import make_dynamic_scc
+from repro.core.scc import DynamicSCC
 from repro.core.selection import (
     DEFAULT_THRESHOLD_FACTOR,
     GraphModel,
@@ -147,9 +147,7 @@ class IncrementalChecker(DeadlockChecker):
         # One lock orders all delta applications and live-state queries;
         # re-entrant because the avoidance path mutates while holding it.
         self._delta_lock = threading.RLock()
-        # The compiled kernel when built (see repro.core._native), the
-        # pure-Python structure otherwise — interchangeable by contract.
-        self._scc = make_dynamic_scc()
+        self._scc = DynamicSCC()
         self._statuses: Dict[TaskId, BlockedStatus] = {}
         # phaser -> local phase -> tasks registered there (blocked only).
         self._phases: Dict[PhaserId, Dict[int, Set[TaskId]]] = {}

@@ -62,37 +62,30 @@ Vertex = Hashable
 
 
 class _ExtractionBase:
-    """Witness-cycle extraction shared across SCC implementations.
+    """Witness-cycle extraction: the query half of :class:`DynamicSCC`.
 
-    Everything a deadlock *report* is built from lives here, in plain
-    Python, implemented against a tiny adapter surface (``has_cycle``,
-    ``has_edge``, ``_cyclic_labels``, ``_label_members``,
-    ``_label_epoch``, ``_out_of``, ``_vertices``).  The pure-Python
-    :class:`DynamicSCC` and the compiled-kernel wrapper in
-    :mod:`repro.core._native` both extract through this exact code, so
-    their cycles — and therefore their reports — are byte-identical by
-    construction: the kernel only ever answers structural queries.
-
-    Subclasses provide ``_cycle_cache`` (dict) and ``extractions``
-    (int) attributes for the per-component epoch cache.
+    Everything a deadlock *report* is built from lives here: the
+    canonical cycle of the maintained partition, its per-shard twin,
+    and the per-component epoch cache that makes re-polling a stable
+    deadlock free.  It reads the structure :class:`DynamicSCC`
+    maintains (``_out``, ``_cyclic``, ``_members``, ``_epoch``,
+    ``_cycle_cache``, ``extractions``) and never mutates the graph, so
+    the maintenance half and the extraction half can be timed apart.
     """
 
     def to_digraph(self) -> DiGraph:
         """Materialise the current edge set (tests and fallbacks)."""
         g = DiGraph()
-        for v in self._vertices():
+        for v, outs in self._out.items():
             g.add_vertex(v)
-            for w in self._out_of(v):
+            for w in outs:
                 g.add_edge(v, w)
         return g
 
     def cyclic_components(self) -> List[frozenset]:
         """Member sets of every cyclic component (dirty ones resolved)."""
         self.has_cycle()
-        return [
-            frozenset(self._label_members(label))
-            for label in self._cyclic_labels()
-        ]
+        return [frozenset(self._members[label]) for label in self._cyclic]
 
     def extract_cycle(self) -> Optional[List[Vertex]]:
         """The canonical witness cycle, from the maintained partition.
@@ -106,7 +99,7 @@ class _ExtractionBase:
         """
         if not self.has_cycle():
             return None
-        labels = self._cyclic_labels()
+        labels = self._cyclic
         best: Optional[Tuple[str, Tuple[Vertex, ...]]] = None
         for label in labels:
             cycle = self._component_cycle(label)
@@ -143,8 +136,8 @@ class _ExtractionBase:
             return None
         vset = set(vertices)
         best: Optional[Tuple[str, Tuple[Vertex, ...]]] = None
-        for label in self._cyclic_labels():
-            if not set(self._label_members(label)) <= vset:
+        for label in self._cyclic:
+            if not self._members[label] <= vset:
                 continue
             cycle = self._component_cycle(label)
             key = _vertex_key(cycle[0])
@@ -163,7 +156,7 @@ class _ExtractionBase:
         return sum(
             1
             for u in vset
-            for x in self._out_of(u)
+            for x in self._out.get(u, ())
             if x in vset
         )
 
@@ -175,15 +168,15 @@ class _ExtractionBase:
         component's members and the per-component minimal-vertex choice
         composes into the global one.
         """
-        epoch = self._label_epoch(label)
+        epoch = self._epoch[label]
         cached = self._cycle_cache.get(label)
         if cached is not None and cached[0] == epoch:
             return cached[1]
         self.extractions += 1
         sub = DiGraph()
-        for w in self._label_members(label):
+        for w in self._members[label]:
             sub.add_vertex(w)
-            for x in self._out_of(w):
+            for x in self._out[w]:
                 sub.add_edge(w, x)
         chosen = canonical_cyclic_scc(sub)
         assert chosen is not None, "cyclic label without a cyclic SCC"
@@ -273,22 +266,6 @@ class DynamicSCC(_ExtractionBase):
     def component_of(self, v: Vertex) -> frozenset:
         """The (possibly over-approximated) weak component holding ``v``."""
         return frozenset(self._members[self._label[v]])
-
-    # -- adapter surface for the shared extraction code ----------------
-    def _vertices(self):
-        return self._out
-
-    def _out_of(self, v: Vertex):
-        return self._out.get(v, ())
-
-    def _cyclic_labels(self):
-        return self._cyclic
-
-    def _label_members(self, label: int):
-        return self._members[label]
-
-    def _label_epoch(self, label: int) -> int:
-        return self._epoch[label]
 
     # ------------------------------------------------------------------
     # component labels (union by relabelling the smaller half)
@@ -472,10 +449,6 @@ class DynamicSCC(_ExtractionBase):
                 self._resolve(label)
         return bool(self._cyclic)
 
-    # extract_cycle / extract_cycle_within / cyclic_components /
-    # edges_within / check_valid are inherited from _ExtractionBase and
-    # shared verbatim with the compiled-kernel wrapper.
-
     # ------------------------------------------------------------------
     # scoped recompute
     # ------------------------------------------------------------------
@@ -515,22 +488,3 @@ class DynamicSCC(_ExtractionBase):
             for w in component:
                 self._ord[w] = self._next_ord
                 self._next_ord += 1
-
-
-def make_dynamic_scc():
-    """The fastest available DynamicSCC implementation.
-
-    Returns a :class:`~repro.core._native.NativeDynamicSCC` (backed by
-    the optional compiled kernel) when the extension is built and not
-    disabled, else a pure-Python :class:`DynamicSCC`.  The two are
-    interchangeable — identical verdicts, partitions, epochs and
-    extracted cycles for any operation sequence (pinned by the
-    differential tests in ``tests/core/test_native.py``) — so callers
-    need not care which they got.  Selection policy lives in
-    :mod:`repro.core._native` (``REPRO_NATIVE`` env var).
-    """
-    from repro.core._native import native_scc_class
-
-    cls = native_scc_class()
-    return cls() if cls is not None else DynamicSCC()
-

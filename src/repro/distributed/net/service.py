@@ -154,7 +154,9 @@ class TenantChecker:
                 return None
             statuses = self.checker.view.merged_snapshot().statuses
             enriched, _ = attach_provenance(report, self._origins, statuses)
-            key = frozenset(enriched.tasks)
+            # Keyed on the cycle, like replay: tasks piling onto a
+            # persisting deadlock grow the task set, not the cycle.
+            key = frozenset(enriched.cycle)
             if key not in self._seen_cycles:
                 self._seen_cycles.add(key)
                 self.reports.append(enriched)

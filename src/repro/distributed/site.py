@@ -337,7 +337,9 @@ class Site:
             )
         if report is None:
             return
-        key = frozenset(report.tasks)
+        # Keyed on the cycle, like replay: tasks piling onto a
+        # persisting deadlock grow the task set, not the cycle.
+        key = frozenset(report.cycle)
         if key in self._seen_cycles:
             return
         self._seen_cycles.add(key)

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from repro.core.cycles import find_cycle, strongly_connected_components
+from repro.core.graphs import DiGraph
 from repro.core.scc import DynamicSCC
 
 
@@ -197,16 +199,12 @@ class TestExtractCycle:
         assert scc.extract_cycle() is None
 
     def test_matches_from_scratch_extraction(self):
-        from repro.core.cycles import find_cycle
-
         scc = edges_of(
             [("b", "c"), ("c", "b"), ("x", "y"), ("m", "a"), ("a", "m")]
         )
         assert scc.extract_cycle() == find_cycle(scc.to_digraph())
 
     def test_self_loop(self):
-        from repro.core.cycles import find_cycle
-
         scc = edges_of([("s", "s"), ("a", "b")])
         assert scc.extract_cycle() == find_cycle(scc.to_digraph()) == ["s", "s"]
 
@@ -245,8 +243,6 @@ class TestExtractCycle:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_churn_matches_find_cycle(self, seed):
-        from repro.core.cycles import find_cycle
-
         rng = random.Random(3000 + seed)
         scc = DynamicSCC()
         vertices = [f"v{i}" for i in range(10)]
@@ -263,3 +259,117 @@ class TestExtractCycle:
             if step % 5 == 0:
                 assert scc.extract_cycle() == find_cycle(scc.to_digraph())
         assert scc.extract_cycle() == find_cycle(scc.to_digraph())
+
+
+def true_cyclic_sccs(graph):
+    """Ground truth: the actual cyclic SCCs of a materialised graph."""
+    return [
+        frozenset(scc)
+        for scc in strongly_connected_components(graph)
+        if len(scc) > 1 or graph.has_edge(scc[0], scc[0])
+    ]
+
+
+def assert_components_sound(structure):
+    """Pin ``cyclic_components`` against ground truth.
+
+    A maintained component may over-approximate (it can span vertices
+    that were weakly connected when unioned, and batch deferral makes
+    the member sets order-dependent), so member sets are not compared
+    exactly.  What must hold: every true cyclic SCC is wholly inside
+    exactly one reported component, and every reported component
+    really contains a cycle.
+    """
+    truth = true_cyclic_sccs(structure.to_digraph())
+    reported = structure.cyclic_components()
+    for scc in truth:
+        assert sum(scc <= comp for comp in reported) == 1
+    covered = frozenset().union(*truth)
+    for comp in reported:
+        assert comp & covered, f"component {sorted(comp)} has no cycle"
+
+
+def random_mutation(rng, vertices, edges, scc):
+    """Apply one random mutation, tracking live edges in ``edges`` so
+    removals pick plausible targets."""
+    roll = rng.random()
+    if roll < 0.55 or not edges:
+        u, v = rng.choice(vertices), rng.choice(vertices)
+        scc.add_edge(u, v)
+        edges.add((u, v))
+    elif roll < 0.8:
+        u, v = rng.choice(sorted(edges))
+        scc.remove_edge(u, v)
+        edges.discard((u, v))
+    elif roll < 0.9:
+        scc.add_vertex(rng.choice(vertices))
+    else:
+        v = rng.choice(vertices)
+        scc.remove_vertex(v)
+        edges.difference_update([e for e in edges if v in e])
+
+
+class TestBatchWindows:
+    """begin_batch/end_batch defer Pearce-Kelly maintenance; verdicts,
+    witness cycles and component soundness must be unchanged at every
+    window edge."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_randomized_mutations_with_batches(self, seed):
+        rng = random.Random(1000 + seed)
+        vertices = [f"v{i}" for i in range(8)]
+        scc = DynamicSCC()
+        edges = set()
+        for _ in range(40):
+            scc.begin_batch()
+            for _ in range(rng.randint(1, 8)):
+                random_mutation(rng, vertices, edges, scc)
+            scc.end_batch()
+            assert scc.edge_count == len(edges)
+            assert scc.extract_cycle() == find_cycle(scc.to_digraph())
+            assert_components_sound(scc)
+
+    def test_end_batch_without_begin_raises(self):
+        with pytest.raises(RuntimeError):
+            DynamicSCC().end_batch()
+
+
+def induced(graph, scope):
+    """The subgraph of ``graph`` induced by ``scope`` (a shard rebuild)."""
+    sub = DiGraph()
+    for u in scope:
+        sub.add_vertex(u)
+        for v in graph.successors(u):
+            if v in scope:
+                sub.add_edge(u, v)
+    return sub
+
+
+class TestScopedQueries:
+    """extract_cycle_within/edges_within: what a per-shard rebuild of the
+    induced subgraph would report, for scopes made of whole weak
+    components."""
+
+    EDGES = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "e"),
+             ("e", "d"), ("x", "x"), ("p", "q")]
+
+    @pytest.mark.parametrize("scope", [
+        {"a", "b", "c", "d", "e"},
+        {"x"},
+        {"p", "q"},
+        {"x", "p", "q"},
+        {"a", "b", "c", "d", "e", "x", "p", "q"},
+    ])
+    def test_matches_rebuilt_subgraph(self, scope):
+        scc = edges_of(self.EDGES)
+        sub = induced(scc.to_digraph(), scope)
+        assert scc.edges_within(scope) == sub.edge_count
+        assert scc.extract_cycle_within(frozenset(scope)) == find_cycle(sub)
+        scc.check_valid()
+
+    def test_partially_covered_component_is_skipped(self):
+        """A component the scope only partly covers belongs to another
+        shard: it contributes no cycle here."""
+        scc = edges_of(self.EDGES)
+        assert scc.extract_cycle_within(frozenset({"a", "b", "c", "d"})) is None
+        assert scc.edges_within({"a", "b", "c", "d"}) == 4

@@ -88,3 +88,24 @@ class TestExamples:
 
     def test_quickstart_is_the_entry_point(self):
         assert (REPO / "examples" / "quickstart.py").exists()
+
+
+class TestOneSccImplementation:
+    """``DynamicSCC`` has one implementation and one code path: nothing
+    under ``src/`` may bring back a compiled twin or a switch that
+    selects between implementations."""
+
+    FORBIDDEN = ("_nativescc", "REPRO_NATIVE", "make_dynamic_scc")
+
+    def test_no_second_scc_path_in_src(self):
+        offenders = []
+        for path in sorted((REPO / "src").rglob("*")):
+            if not path.is_file() or "__pycache__" in path.parts:
+                continue
+            text = path.read_text(errors="replace")
+            offenders += [
+                f"{path.relative_to(REPO)}: {word}"
+                for word in self.FORBIDDEN
+                if word in text
+            ]
+        assert not offenders, offenders
